@@ -11,147 +11,125 @@
 //! those shared objects. Average linkage dilutes one-object bridges by
 //! `1/(|A|·|B|)` and keeps requests apart.
 //!
+//! ## The merge order
+//!
+//! The result is the exact greedy: repeatedly merge the live pair with the
+//! largest `(score, smaller a, smaller b)` at or above the threshold,
+//! folding the smaller cluster into the larger (ties keep `a`, and the
+//! kept cluster keeps its index). The `tests::greedy_oracle` below states
+//! that definition directly and the proptests hold the fast loop to it.
+//!
 //! ## Implementation
 //!
-//! Per live cluster: a sparse adjacency map of cross-cluster weight sums
-//! (fast integer hashing). A lazy max-heap holds merge candidates with
-//! per-cluster version stamps; merging is smaller-into-larger. Stale heap
-//! entries are **revalidated at pop time** — the current score is
-//! recomputed and re-pushed if still above threshold — so a merge only has
-//! to push fresh candidates for the pairs whose weight sum actually
-//! changed (the dropped side's neighbours). This keeps total work near
-//! `O(E log E)`; the paper-scale graph (2.2 M edges, 30 k vertices)
-//! clusters in well under a second.
+//! Each live cluster holds a sparse map of cross-cluster weight sums; the
+//! singletons start from the co-access graph's per-object adjacency, taken
+//! by value. Candidates are `(score, a, b)` triples packed into one `u128`
+//! (see [`crate::similarity`]) and carry the two clusters' version stamps
+//! from when they were scored. They come from two sources:
+//!
+//! * **the stream** — every initial edge at or above the threshold, sorted
+//!   once and read front to back. These never change once made, so they
+//!   need no heap;
+//! * **the residual heap** — only the candidates rescored after the
+//!   stream was built: a stale entry revalidated at pop time, and the
+//!   pairs whose weight sum a merge changed (the dropped side's
+//!   neighbours).
+//!
+//! Each step takes the larger of the stream head and the heap top. That
+//! is the order a single heap holding both would pop, so the merge
+//! sequence is the single-heap one. Only equal keys can pop in a different
+//! order, and an equal key names the same pair: whichever copy pops first
+//! either merges that pair (leaving the other dead) or, if stale, pushes
+//! the pair's live score, which the live copy already carries.
+//!
+//! A popped entry whose side was absorbed is dead and skipped. A stale
+//! one (a side merged since it was scored) is rescored and pushed back
+//! while still above the threshold: scores only fall between a pair's own
+//! rescorings, because a merge that grows a pair's weight sum pushes the
+//! new score itself. So the live maximum is never behind a stale entry.
+//!
+//! On the paper's workload (30 000 objects, 2.2 M edges, threshold half
+//! the smallest request probability) 4.15 M candidates pop and 3.68 M of
+//! them are dead. The 2.22 M initial edges come off the stream, so the
+//! heap takes 1.93 M pushes and peaks at 0.74 M entries; one heap for
+//! everything took 4.20 M pushes and peaked at 2.75 M (DESIGN.md §18).
 
-use crate::similarity::CoAccessGraph;
-use std::cmp::Ordering;
+use crate::similarity::{pack, unpack, CoAccessGraph, IntMap};
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use tapesim_model::ObjectId;
 
-/// Multiplicative hasher for small integer keys (FxHash-style); adjacency
-/// maps are hot enough that SipHash shows up in profiles.
-#[derive(Default)]
-pub struct IntHasher(u64);
+/// Version stamp of an absorbed cluster.
+const DEAD: u32 = u32::MAX;
 
-impl Hasher for IntHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        // Fallback for non-integer keys; not used on the hot path.
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-    }
-    #[inline]
-    fn write_usize(&mut self, i: usize) {
-        self.0 = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.0 = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-/// `HashMap` keyed by small integers with [`IntHasher`].
-pub type IntMap<V> = HashMap<usize, V, BuildHasherDefault<IntHasher>>;
-
-#[derive(Debug)]
-struct Candidate {
-    score: f64,
-    a: usize,
-    b: usize,
+/// A rescored candidate: packed `(score, a, b)` key, then the stamps of
+/// `a` and `b` at scoring time. Ordered by key first.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Rescored {
+    key: u128,
     ver_a: u32,
     ver_b: u32,
 }
 
-impl PartialEq for Candidate {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Candidate {}
-
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap on score; deterministic tie-break on indices (smaller
-        // pair wins).
-        self.score
-            .partial_cmp(&other.score)
-            .expect("scores are finite")
-            .then_with(|| other.a.cmp(&self.a))
-            .then_with(|| other.b.cmp(&self.b))
-    }
-}
-
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
+#[derive(Default)]
 struct Cluster {
     members: Vec<ObjectId>,
     /// Sum of cross-pair weights to each other live cluster.
     adj: IntMap<f64>,
-    version: u32,
 }
 
 /// Flat average-linkage clusters of `graph` at similarity `threshold`.
 ///
 /// Returns a partition of all objects (singletons included), clusters
-/// ordered by smallest member, members ascending.
+/// ordered by smallest member, members ascending. Clones the graph's
+/// adjacency; [`ClusterParams::cluster`](crate::ClusterParams::cluster)
+/// hands its own graph over instead.
 pub fn average_linkage_clusters(graph: &CoAccessGraph, threshold: f64) -> Vec<Vec<ObjectId>> {
-    let n = graph.n_objects();
-    let mut clusters: Vec<Option<Cluster>> = (0..n)
-        .map(|i| {
-            Some(Cluster {
-                members: vec![ObjectId(i as u32)],
-                adj: IntMap::default(),
-                version: 0,
-            })
+    average_linkage(graph.clone(), threshold)
+}
+
+/// [`average_linkage_clusters`], consuming `graph`.
+pub(crate) fn average_linkage(graph: CoAccessGraph, threshold: f64) -> Vec<Vec<ObjectId>> {
+    let stream = graph.sorted_keys(threshold);
+    let mut clusters: Vec<Cluster> = graph
+        .into_adjacency()
+        .into_iter()
+        .enumerate()
+        .map(|(i, adj)| Cluster {
+            members: vec![ObjectId(i as u32)],
+            adj,
         })
         .collect();
+    let mut version = vec![0u32; clusters.len()];
 
-    let mut heap = BinaryHeap::new();
-    for (a, b, w) in graph.edges_by_weight_desc() {
-        let (ia, ib) = (a.idx(), b.idx());
-        clusters[ia].as_mut().unwrap().adj.insert(ib, w);
-        clusters[ib].as_mut().unwrap().adj.insert(ia, w);
-        if w >= threshold {
-            heap.push(Candidate {
-                score: w,
-                a: ia.min(ib),
-                b: ia.max(ib),
-                ver_a: 0,
-                ver_b: 0,
-            });
-        }
-    }
-
-    while let Some(cand) = heap.pop() {
-        if cand.score < threshold {
-            break; // heap is score-ordered: nothing below can merge
-        }
-        let (Some(ca), Some(cb)) = (&clusters[cand.a], &clusters[cand.b]) else {
-            continue; // one side already absorbed
+    let mut stream = stream.into_iter().peekable();
+    let mut heap: BinaryHeap<Rescored> = BinaryHeap::new();
+    loop {
+        let from_stream = match (stream.peek(), heap.peek()) {
+            (None, None) => break,
+            (Some(&s), Some(h)) => s >= h.key,
+            (s, _) => s.is_some(),
         };
-        if ca.version != cand.ver_a || cb.version != cand.ver_b {
+        let (key, ver_a, ver_b) = if from_stream {
+            (stream.next().expect("peeked"), 0, 0)
+        } else {
+            let h = heap.pop().expect("peeked");
+            (h.key, h.ver_a, h.ver_b)
+        };
+        let (_, a, b) = unpack(key);
+        if version[a] == DEAD || version[b] == DEAD {
+            continue; // one side already absorbed
+        }
+        let (len_a, len_b) = (clusters[a].members.len(), clusters[b].members.len());
+        if version[a] != ver_a || version[b] != ver_b {
             // Stale: revalidate with the live score (the sum may have
-            // changed since this entry was pushed).
-            if let Some(&sum) = ca.adj.get(&cand.b) {
-                let score = sum / (ca.members.len() as f64 * cb.members.len() as f64);
+            // changed since this entry was scored).
+            if let Some(&sum) = clusters[a].adj.get(&b) {
+                let score = sum / (len_a as f64 * len_b as f64);
                 if score >= threshold {
-                    heap.push(Candidate {
-                        score,
-                        a: cand.a,
-                        b: cand.b,
-                        ver_a: ca.version,
-                        ver_b: cb.version,
+                    heap.push(Rescored {
+                        key: pack(score, a, b),
+                        ver_a: version[a],
+                        ver_b: version[b],
                     });
                 }
             }
@@ -159,47 +137,37 @@ pub fn average_linkage_clusters(graph: &CoAccessGraph, threshold: f64) -> Vec<Ve
         }
 
         // Merge the smaller cluster into the larger one.
-        let (keep, drop) = if ca.members.len() >= cb.members.len() {
-            (cand.a, cand.b)
-        } else {
-            (cand.b, cand.a)
-        };
-        let dropped = clusters[drop].take().expect("live cluster");
-        let kept = clusters[keep].as_mut().expect("live cluster");
+        let (keep, drop) = if len_a >= len_b { (a, b) } else { (b, a) };
+        let dropped = std::mem::take(&mut clusters[drop]);
+        version[drop] = DEAD;
+        version[keep] += 1;
+        let kept = &mut clusters[keep];
         kept.members.extend(dropped.members);
-        kept.version += 1;
         kept.adj.remove(&drop);
-        let kept_version = kept.version;
-        let kept_len = kept.members.len();
+        let kept_len = kept.members.len() as f64;
 
         // Fold the dropped side's adjacency into the kept side and push
         // fresh candidates for exactly the pairs whose sum changed. Pairs
         // adjacent only to `keep` are revalidated lazily at pop time.
-        for (&other, &w) in dropped.adj.iter() {
+        for (other, w) in dropped.adj {
             if other == keep {
                 continue;
             }
-            let kept = clusters[keep].as_mut().expect("live cluster");
-            let sum = kept.adj.entry(other).or_insert(0.0);
-            *sum += w;
-            let sum = *sum;
-            let oc = clusters[other].as_mut().expect("adjacent cluster is live");
+            let sum = {
+                let s = clusters[keep].adj.entry(other).or_insert(0.0);
+                *s += w;
+                *s
+            };
+            let oc = &mut clusters[other];
             let from_drop = oc.adj.remove(&drop).unwrap_or(0.0);
             *oc.adj.entry(keep).or_insert(0.0) += from_drop;
-            let score = sum / (kept_len as f64 * oc.members.len() as f64);
+            let score = sum / (kept_len * oc.members.len() as f64);
             if score >= threshold {
                 let (a, b) = (keep.min(other), keep.max(other));
-                let (ver_a, ver_b) = if a == keep {
-                    (kept_version, oc.version)
-                } else {
-                    (oc.version, kept_version)
-                };
-                heap.push(Candidate {
-                    score,
-                    a,
-                    b,
-                    ver_a,
-                    ver_b,
+                heap.push(Rescored {
+                    key: pack(score, a, b),
+                    ver_a: version[a],
+                    ver_b: version[b],
                 });
             }
         }
@@ -207,8 +175,9 @@ pub fn average_linkage_clusters(graph: &CoAccessGraph, threshold: f64) -> Vec<Ve
 
     let mut out: Vec<Vec<ObjectId>> = clusters
         .into_iter()
-        .flatten()
-        .map(|c| {
+        .zip(version)
+        .filter(|&(_, v)| v != DEAD)
+        .map(|(c, _)| {
             let mut m = c.members;
             m.sort_unstable();
             m
@@ -319,5 +288,118 @@ mod tests {
         let b = average_linkage_clusters(&g, 0.15);
         assert_eq!(a, b);
         assert_eq!(partition_size(&a), 10);
+    }
+
+    /// The exact greedy, stated directly: score every live pair from the
+    /// member pairs, merge the largest `(score, smaller a, smaller b)` at
+    /// or above `threshold`, fold the smaller cluster into the larger (ties
+    /// keep `a`), repeat. Pairs that never co-occur score nothing.
+    pub(super) fn greedy_oracle(g: &CoAccessGraph, threshold: f64) -> Vec<Vec<ObjectId>> {
+        let n = g.n_objects();
+        let mut clusters: Vec<Option<Vec<ObjectId>>> =
+            (0..n).map(|i| Some(vec![ObjectId(i as u32)])).collect();
+        loop {
+            let mut best: Option<(f64, usize, usize)> = None;
+            for a in 0..n {
+                for b in a + 1..n {
+                    let (Some(ca), Some(cb)) = (&clusters[a], &clusters[b]) else {
+                        continue;
+                    };
+                    let sum: f64 = ca
+                        .iter()
+                        .flat_map(|&x| cb.iter().map(move |&y| g.pair_weight(x, y)))
+                        .sum();
+                    let score = sum / (ca.len() as f64 * cb.len() as f64);
+                    // Scan order is (a, b) ascending, so only a strictly
+                    // higher score displaces the incumbent.
+                    if sum > 0.0 && score >= threshold && best.is_none_or(|(s, _, _)| score > s) {
+                        best = Some((score, a, b));
+                    }
+                }
+            }
+            let Some((_, a, b)) = best else { break };
+            let (la, lb) = (
+                clusters[a].as_ref().map_or(0, Vec::len),
+                clusters[b].as_ref().map_or(0, Vec::len),
+            );
+            let (keep, drop) = if la >= lb { (a, b) } else { (b, a) };
+            let dropped = clusters[drop].take().expect("live");
+            clusters[keep].as_mut().expect("live").extend(dropped);
+        }
+        let mut out: Vec<Vec<ObjectId>> = clusters
+            .into_iter()
+            .flatten()
+            .map(|mut c| {
+                c.sort_unstable();
+                c
+            })
+            .collect();
+        out.sort_by_key(|c| c[0]);
+        out
+    }
+
+    #[test]
+    fn oracle_agrees_on_the_hand_built_graphs() {
+        let g = graph(4, &[(0.9, &[0, 1]), (0.9, &[2, 3]), (0.3, &[1, 2])]);
+        assert_eq!(greedy_oracle(&g, 0.25), average_linkage_clusters(&g, 0.25));
+        let g = graph(3, &[(0.9, &[0, 1]), (0.2, &[0, 2]), (0.2, &[1, 2])]);
+        assert_eq!(greedy_oracle(&g, 0.15), average_linkage_clusters(&g, 0.15));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::tests::greedy_oracle;
+    use super::*;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha12Rng;
+    use tapesim_workload::Request;
+
+    /// Overlapping requests with probabilities `k/8`: every weight sum is
+    /// a small dyadic rational, exact in any addition order, so the
+    /// oracle's member-pair sums carry the same bits as the fast loop's
+    /// folded sums, and many pairs tie exactly.
+    fn tie_heavy_graph(seed: u64, n_obj: u32, n_req: usize) -> CoAccessGraph {
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        let requests: Vec<Request> = (0..n_req)
+            .map(|rank| {
+                let k = rng.gen_range(2..=n_obj.min(8));
+                let mut objects: Vec<_> =
+                    (0..k).map(|_| ObjectId(rng.gen_range(0..n_obj))).collect();
+                objects.sort_unstable();
+                objects.dedup();
+                Request {
+                    rank: rank as u32,
+                    probability: rng.gen_range(1..=8u32) as f64 / 8.0,
+                    objects,
+                }
+            })
+            .collect();
+        CoAccessGraph::from_requests(n_obj as usize, &requests)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The stream-plus-heap loop merges exactly what the naive greedy
+        /// merges, at every threshold from 1/32 up past the heaviest edge.
+        #[test]
+        fn matches_the_greedy_oracle_on_tie_heavy_graphs(
+            seed in any::<u64>(),
+            n_obj in 2u32..24,
+            n_req in 1usize..14,
+        ) {
+            let g = tie_heavy_graph(seed, n_obj, n_req);
+            let heaviest = g.edges_by_weight_desc().first().map_or(0.0, |e| e.2);
+            let steps = (heaviest * 32.0) as u32 + 2;
+            for step in 1..=steps {
+                let threshold = step as f64 / 32.0;
+                prop_assert_eq!(
+                    average_linkage_clusters(&g, threshold),
+                    greedy_oracle(&g, threshold),
+                    "threshold {}", threshold
+                );
+            }
+        }
     }
 }

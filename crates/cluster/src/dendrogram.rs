@@ -12,7 +12,7 @@
 //! merge (the subtree root), recursively, which severs the least-similar
 //! boundary first.
 
-use crate::similarity::CoAccessGraph;
+use crate::similarity::{unpack, CoAccessGraph};
 use crate::unionfind::UnionFind;
 use tapesim_model::{Bytes, ObjectId};
 
@@ -44,8 +44,9 @@ impl Dendrogram {
         // Current tree node representing each DSU root.
         let mut node_of: Vec<usize> = (0..n).collect();
         let mut merges = Vec::new();
-        for (a, b, w) in graph.edges_by_weight_desc() {
-            let (ra, rb) = (uf.find(a.idx()), uf.find(b.idx()));
+        for key in graph.sorted_keys(f64::NEG_INFINITY) {
+            let (w, a, b) = unpack(key);
+            let (ra, rb) = (uf.find(a), uf.find(b));
             if ra == rb {
                 continue;
             }
