@@ -112,7 +112,7 @@ struct Report {
     /// layer existed.
     #[serde(default)]
     obs_overhead_pct: f64,
-    /// Headline for the conservative-window engine: events/sec of the
+    /// Headline for the per-library partitioned engine: events/sec of the
     /// fastest `sched_parallel_8lib_*` row over the single-threaded
     /// `sched_mono_8lib` row, measured in this same run. On machines with
     /// fewer hardware threads than partitions this is an honest (small or
@@ -431,7 +431,7 @@ fn main() {
         sched.allocs
     );
 
-    // ---- parallel section: the conservative time-window engine over
+    // ---- parallel section: the per-library partitioned engine over
     // 1/2/4/8-library systems × thread counts, each against the
     // single-threaded monolithic gear on the same config. The merged
     // outcome is bit-identical (pinned by the sched test walls); here we

@@ -17,10 +17,10 @@ use tapesim_placement::{
     PlacementPolicy, TapeRole,
 };
 use tapesim_sched::{
-    run_scheduled, run_scheduled_faulty_parallel, run_scheduled_parallel, AuditMode,
-    ParallelConfig, PolicyKind, SchedConfig,
+    run_scheduled, run_scheduled_faulty_parallel, run_scheduled_parallel, ParallelConfig,
+    PolicyKind, SchedConfig,
 };
-use tapesim_serve::{serve_run, supervisor_run, HealthPolicy, ServeConfig, SuperviseConfig};
+use tapesim_serve::{supervisor_run, HealthPolicy, ServeConfig, ServeReport, SuperviseConfig};
 use tapesim_sim::{SeekPolicy, Simulator};
 use tapesim_workload::{
     replicate_workload, ArrivalSpec, ObjectSizeSpec, ReplicationSpec, RequestSpec, Workload,
@@ -54,17 +54,6 @@ impl From<std::io::Error> for CommandError {
 impl From<serde_json::Error> for CommandError {
     fn from(e: serde_json::Error) -> Self {
         CommandError(format!("json error: {e}"))
-    }
-}
-
-/// Parses `--audit-mode streaming|batch` (default: streaming).
-fn parse_audit_mode(args: &Args) -> Result<AuditMode, CommandError> {
-    match args.get("audit-mode") {
-        None | Some("streaming") => Ok(AuditMode::Streaming),
-        Some("batch") => Ok(AuditMode::Batch),
-        Some(other) => Err(CommandError(format!(
-            "flag --audit-mode: expected 'streaming' or 'batch', got '{other}'"
-        ))),
     }
 }
 
@@ -340,18 +329,19 @@ fn serve_check(current: &ServeBench) -> Result<String, CommandError> {
 }
 
 /// `tapesim serve --campaign` — the closed-loop load harness over the
-/// sharded service ([`tapesim_serve::serve_run`]): ingest a sustained
-/// Poisson request stream, fan it out to per-library scheduler shards,
-/// and report sustained wall-clock throughput and virtual-time tail
-/// latency per placement scheme × policy.
+/// sharded service ([`tapesim_serve::supervisor_run`] with no chaos and
+/// no health policy): ingest a sustained Poisson request stream, fan it
+/// out to per-library scheduler shards, and report sustained wall-clock
+/// throughput and virtual-time tail latency per placement scheme ×
+/// policy.
 ///
 /// The full campaign (no `--smoke`) ingests 175 000 requests per cell —
 /// 3 schemes × 2 policies = 1.05 million audited requests — and rewrites
 /// `BENCH_serve.json` at the workspace root. `--smoke` runs a reduced
 /// but still multi-shard, still audited campaign and leaves the artifact
 /// untouched; `--check` gates against the committed artifact. Any audit
-/// violation, conservation breach or rejected submission is a non-zero
-/// exit.
+/// violation, conservation breach, shed or rejected request is a
+/// non-zero exit ([`campaign_ledger_breach`]).
 fn campaign(args: &Args) -> Result<String, CommandError> {
     let smoke = args.has("smoke");
     let check = args.has("check");
@@ -374,6 +364,8 @@ fn campaign(args: &Args) -> Result<String, CommandError> {
     };
     let plan = FaultPlan::zero(&system);
     let no_alternates: BTreeMap<_, _> = BTreeMap::new();
+    let no_chaos = ChaosPlan::zero(shards);
+    let sup = SuperviseConfig::default();
 
     let schemes = parse_schemes(args)?;
     // The campaign defaults to the two policies that keep a sustained
@@ -404,21 +396,22 @@ fn campaign(args: &Args) -> Result<String, CommandError> {
         for &kind in &policies {
             let sim = Simulator::with_natural_policy(placement.clone(), m);
             let t = Instant::now();
-            let report = serve_run(&sim, &workload, kind, &cfg, &plan, &no_alternates);
+            let report = supervisor_run(
+                &sim,
+                &workload,
+                kind,
+                &cfg,
+                &plan,
+                &no_alternates,
+                &no_chaos,
+                &sup,
+            );
             let wall = t.elapsed().as_secs_f64();
             for audit in report.reports.iter().filter(|r| !r.is_clean()) {
                 dirty.push(format!("{scheme}/{}: {audit}", kind.label()));
             }
-            if report.submitted != report.served + report.lost || report.rejected != 0 {
-                dirty.push(format!(
-                    "{scheme}/{}: request conservation violated \
-                     ({} submitted, {} served, {} lost, {} rejected)",
-                    kind.label(),
-                    report.submitted,
-                    report.served,
-                    report.lost,
-                    report.rejected
-                ));
+            if let Some(breach) = campaign_ledger_breach(&report) {
+                dirty.push(format!("{scheme}/{}: {breach}", kind.label()));
             }
             total += report.submitted;
             effective_shards = report.shards;
@@ -514,6 +507,21 @@ fn campaign(args: &Args) -> Result<String, CommandError> {
         out.push_str(&format!("{note}\n"));
     }
     Ok(out)
+}
+
+/// The campaign's request ledger check: every ingested request must be
+/// served, lost, shed or rejected (`submitted = served + lost + shed +
+/// rejected`), and — with no chaos and no health policy — nothing may
+/// be shed or rejected at all. Returns the breach, if any.
+fn campaign_ledger_breach(report: &ServeReport) -> Option<String> {
+    let closed = report.submitted == report.served + report.lost + report.shed + report.rejected;
+    if closed && report.shed == 0 && report.rejected == 0 {
+        return None;
+    }
+    Some(format!(
+        "request ledger violated ({} submitted, {} served, {} lost, {} shed, {} rejected)",
+        report.submitted, report.served, report.lost, report.shed, report.rejected
+    ))
 }
 
 /// One cell of the `tapesim serve --chaos` sweep: one scheme × policy
@@ -1023,7 +1031,6 @@ pub fn sched(args: &Args) -> Result<String, CommandError> {
     let seed: u64 = args.get_or("seed", 0xD15Cu64)?;
     let max_batch: usize = args.get_or("max-batch", 0)?;
     let audit = !args.has("no-audit");
-    let audit_mode = parse_audit_mode(args)?;
     let par = parallel_config_from(args)?;
     let seek = seek_policy_from(args)?;
     let spec = ArrivalSpec {
@@ -1046,7 +1053,6 @@ pub fn sched(args: &Args) -> Result<String, CommandError> {
             let cfg = SchedConfig::new(spec, samples)
                 .with_max_batch(max_batch)
                 .with_audit(audit)
-                .with_audit_mode(audit_mode)
                 .with_seek(seek);
             let out =
                 run_scheduled_parallel(&mut sim, &workload, kind.build().as_ref(), &cfg, &par);
@@ -1078,11 +1084,7 @@ pub fn sched(args: &Args) -> Result<String, CommandError> {
     let mut out = format!(
         "scheduled run: {samples} requests at {rate}/h (seed {seed}), audit {}\n\
          {:<15} {:<6} {:>6} {:>10} {:>12} {:>12} {:>12} {:>7} {:>6}\n",
-        match (audit, audit_mode) {
-            (false, _) => "off",
-            (true, AuditMode::Streaming) => "on (streaming)",
-            (true, AuditMode::Batch) => "on (batch)",
-        },
+        if audit { "on" } else { "off" },
         "scheme",
         "policy",
         "served",
@@ -1298,7 +1300,6 @@ pub fn faults(args: &Args) -> Result<String, CommandError> {
     let max_batch: usize = args.get_or("max-batch", 0)?;
     let fault_seed: u64 = args.get_or("fault-seed", 41u64)?;
     let intensity: f64 = args.get_or("intensity", 1.0)?;
-    let audit_mode = parse_audit_mode(args)?;
     let par = parallel_config_from(args)?;
     let seek = seek_policy_from(args)?;
     let replicate_gb: u64 = args.get_or("replicate-gb", if smoke { 4096 } else { 0 })?;
@@ -1343,7 +1344,6 @@ pub fn faults(args: &Args) -> Result<String, CommandError> {
             let cfg = SchedConfig::new(spec, samples)
                 .with_max_batch(max_batch)
                 .with_audit(true)
-                .with_audit_mode(audit_mode)
                 .with_seek(seek);
             let out = run_scheduled_faulty_parallel(
                 &mut sim,
@@ -1577,7 +1577,6 @@ mod tests {
         "max-batch",
         "libraries",
         "tapes",
-        "audit-mode",
     ];
     const SCHED_BOOLS: &[&str] = &["json", "smoke", "no-audit"];
 
@@ -1627,34 +1626,6 @@ mod tests {
     fn sched_rejects_unknown_policy() {
         let err = sched(&args("--smoke --policy bogus", SCHED_VALUES, SCHED_BOOLS)).unwrap_err();
         assert!(err.0.contains("unknown policy"), "{err}");
-    }
-
-    #[test]
-    fn sched_audit_modes_agree_and_bad_mode_is_rejected() {
-        let streaming = sched(&args(
-            "--smoke --samples 8 --rate 15 --audit-mode streaming --json",
-            SCHED_VALUES,
-            SCHED_BOOLS,
-        ))
-        .unwrap();
-        let batch = sched(&args(
-            "--smoke --samples 8 --rate 15 --audit-mode batch --json",
-            SCHED_VALUES,
-            SCHED_BOOLS,
-        ))
-        .unwrap();
-        assert_eq!(streaming, batch, "audit mode must not change results");
-
-        let default = sched(&args("--smoke --samples 8", SCHED_VALUES, SCHED_BOOLS)).unwrap();
-        assert!(default.contains("audit on (streaming)"), "{default}");
-
-        let err = sched(&args(
-            "--smoke --audit-mode bogus",
-            SCHED_VALUES,
-            SCHED_BOOLS,
-        ))
-        .unwrap_err();
-        assert!(err.0.contains("audit-mode"), "{err}");
     }
 
     const SERVE_VALUES: &[&str] = &[
@@ -1755,6 +1726,54 @@ mod tests {
         assert!(err.0.contains("unknown scheme"), "{err}");
     }
 
+    /// The campaign's ledger gate counts every leg: a clean run passes,
+    /// and a shed or rejected request fails it even when the ledger
+    /// closes, as does a request that vanished from every leg.
+    #[test]
+    fn campaign_ledger_counts_shed_and_rejected() {
+        let workload = campaign_workload();
+        let system = system_from(&args("", SERVE_VALUES, SERVE_BOOLS)).unwrap();
+        let placement = ParallelBatchPlacement::with_m(4)
+            .place(&workload, &system)
+            .unwrap();
+        let sim = Simulator::with_natural_policy(placement, 4);
+        let report = supervisor_run(
+            &sim,
+            &workload,
+            PolicyKind::BatchByTape,
+            &ServeConfig::new(
+                ArrivalSpec {
+                    per_hour: 12.0,
+                    seed: 3,
+                },
+                30,
+            )
+            .with_shards(3),
+            &FaultPlan::zero(&system),
+            &BTreeMap::new(),
+            &ChaosPlan::zero(3),
+            &SuperviseConfig::default(),
+        );
+        assert_eq!(report.served, 30);
+        assert_eq!(campaign_ledger_breach(&report), None);
+
+        let mut shed = report.clone();
+        shed.served -= 1;
+        shed.shed = 1;
+        let breach = campaign_ledger_breach(&shed).expect("a shed request must fail");
+        assert!(breach.contains("1 shed"), "{breach}");
+
+        let mut rejected = report.clone();
+        rejected.served -= 2;
+        rejected.rejected = 2;
+        assert!(campaign_ledger_breach(&rejected).is_some());
+
+        let mut vanished = report;
+        vanished.served -= 1;
+        let breach = campaign_ledger_breach(&vanished).expect("a vanished request must fail");
+        assert!(breach.contains("30 submitted, 29 served"), "{breach}");
+    }
+
     const FAULTS_VALUES: &[&str] = &[
         "workload",
         "scheme",
@@ -1772,7 +1791,6 @@ mod tests {
         "jams-per-hour",
         "spots-per-tape",
         "replicate-gb",
-        "audit-mode",
     ];
     const FAULTS_BOOLS: &[&str] = &["json", "smoke"];
 

@@ -38,7 +38,8 @@ COMMANDS:
              or, with --campaign, run the long-running sharded service
              under a sustained load campaign (per-library scheduler
              actors, bounded ingestion, periodic metric snapshots,
-             audited; writes BENCH_serve.json unless --smoke)
+             audited; nothing may be lost silently, shed or rejected;
+             writes BENCH_serve.json unless --smoke)
                --campaign [--requests N] [--rate PER_HOUR] [--seed S]
                [--shards N] [--scheme all|pbp|opp|cpp]
                [--policy all|fcfs|batch|sltf] [--m M] [--max-batch N]
@@ -62,11 +63,11 @@ COMMANDS:
              sweeping placement schemes x policies, audited by default
                -w WORKLOAD --scheme all|pbp|opp|cpp --policy all|fcfs|batch|sltf
                --rate PER_HOUR --samples N --seed S --m M --max-batch N
-               [--smoke] [--json] [--no-audit] [--audit-mode streaming|batch]
+               [--smoke] [--json] [--no-audit]
                [--seek-policy greedy|exact|approx|auto]
                [--parallel on|off] [--threads N]  (default: TAPESIM_PARALLEL /
-               TAPESIM_THREADS; multi-library runs execute one partition per
-               library under conservative time windows, bit-identical)
+               TAPESIM_THREADS; multi-library runs execute one independent
+               partition per library on N worker threads, bit-identical)
   faults     rerun the scheduler sweep under a seeded fault plan (drive
              failures, robot jams, media bad spots) with retry, replica
              failover and availability metrics; always audited
@@ -74,7 +75,7 @@ COMMANDS:
                --rate PER_HOUR --samples N --seed S --fault-seed S
                --intensity X --mtbf-hours H --jams-per-hour R
                --spots-per-tape R --replicate-gb GB [--smoke] [--json]
-               [--audit-mode streaming|batch] [--parallel on|off] [--threads N]
+               [--parallel on|off] [--threads N]
                [--seek-policy greedy|exact|approx|auto]
   report     explain a run at resource granularity: per-drive/per-arm span
              time budgets (seek/rewind/transfer/load/unload/exchange/idle/
@@ -182,7 +183,6 @@ fn main() {
                 "max-batch",
                 "libraries",
                 "tapes",
-                "audit-mode",
                 "parallel",
                 "threads",
                 "seek-policy",
@@ -210,7 +210,6 @@ fn main() {
                 "jams-per-hour",
                 "spots-per-tape",
                 "replicate-gb",
-                "audit-mode",
                 "parallel",
                 "threads",
                 "seek-policy",

@@ -52,7 +52,6 @@
 //! ```
 
 pub mod audit;
-pub mod parallel;
 pub mod queue;
 pub mod resource;
 pub mod scheduler;
@@ -61,7 +60,6 @@ pub mod time;
 pub mod trace;
 
 pub use audit::{AuditReport, AuditStream, TraceAuditor, Violation, ViolationKind};
-pub use parallel::{run_windowed, window_barriers, WindowPartition, WindowTrace};
 pub use queue::{EventHandle, EventQueue};
 pub use resource::Resource;
 pub use scheduler::{RunOutcome, Scheduler, World};

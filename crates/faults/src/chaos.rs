@@ -178,7 +178,7 @@ impl ChaosPlan {
     }
 
     /// The empty plan for `shards` shards: no chaos, ever. A supervised
-    /// run under it is bit-identical to the unsupervised serve path.
+    /// run under it injects nothing — the plain sharded service.
     pub fn zero(shards: usize) -> ChaosPlan {
         ChaosPlan {
             spec: ChaosSpec::none(0),

@@ -67,22 +67,6 @@ use tapesim_sim::seek_order;
 use tapesim_sim::{SeekPolicy, Simulator, SwitchPolicy};
 use tapesim_workload::{ArrivalProcess, ArrivalSpec, RequestStream, Workload};
 
-/// How the engine feeds the trace auditor when auditing is on.
-///
-/// Both modes produce identical [`AuditReport`]s — proven by the
-/// equivalence proptests in `tapesim_des::audit` — so the choice is
-/// purely about memory: streaming never materialises the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AuditMode {
-    /// Feed each event to an [`AuditStream`] as it is emitted; the full
-    /// trace is never buffered. The default.
-    #[default]
-    Streaming,
-    /// Buffer the whole trace in a [`Tracer`] and audit it at the end of
-    /// the run. Useful when the trace itself is wanted afterwards.
-    Batch,
-}
-
 /// Configuration of one scheduled run.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedConfig {
@@ -92,10 +76,8 @@ pub struct SchedConfig {
     pub samples: usize,
     /// Largest number of jobs one mount may serve (0 = unlimited).
     pub max_batch: usize,
-    /// Whether to record and audit the event trace.
+    /// Whether to audit the event trace.
     pub audit: bool,
-    /// Whether audits consume events online or from a buffered trace.
-    pub audit_mode: AuditMode,
     /// Whether to run the span accountant and attach a
     /// [`TimeBudget`] to the outcome. Off by default; when off the
     /// only cost is one `None` check per emitted trace event.
@@ -115,7 +97,6 @@ impl SchedConfig {
             samples,
             max_batch: 0,
             audit: false,
-            audit_mode: AuditMode::default(),
             obs: false,
             seek: SeekPolicy::Greedy,
         }
@@ -130,12 +111,6 @@ impl SchedConfig {
     /// Enables trace recording and auditing.
     pub fn with_audit(mut self, audit: bool) -> SchedConfig {
         self.audit = audit;
-        self
-    }
-
-    /// Selects how audits consume the event stream (default: streaming).
-    pub fn with_audit_mode(mut self, mode: AuditMode) -> SchedConfig {
-        self.audit_mode = mode;
         self
     }
 
@@ -165,61 +140,20 @@ fn topology_of(system: &SystemConfig) -> Topology {
     }
 }
 
-/// Where the engine's trace events go: nowhere, into a buffered
-/// [`Tracer`] for one batch audit at the end, or straight into an online
-/// [`AuditStream`].
-#[derive(Debug)]
-enum AuditSink {
-    Off,
-    Batch(Tracer),
-    Stream(Box<AuditStream>),
-}
-
-impl AuditSink {
-    fn new(cfg: &SchedConfig, auditor: &TraceAuditor) -> AuditSink {
-        if !cfg.audit {
-            AuditSink::Off
-        } else {
-            match cfg.audit_mode {
-                AuditMode::Batch => AuditSink::Batch(Tracer::enabled()),
-                AuditMode::Streaming => AuditSink::Stream(Box::new(auditor.stream())),
-            }
-        }
-    }
-
-    #[inline]
-    fn emit(&mut self, time: SimTime, event: TraceEvent) {
-        match self {
-            AuditSink::Off => {}
-            AuditSink::Batch(tracer) => tracer.emit(time, event),
-            AuditSink::Stream(stream) => stream.push(&TraceEntry { time, event }),
-        }
-    }
-
-    /// Produces the run's audit reports (empty when auditing is off).
-    fn finish(self, auditor: &TraceAuditor) -> Vec<AuditReport> {
-        match self {
-            AuditSink::Off => Vec::new(),
-            AuditSink::Batch(tracer) => vec![auditor.audit(tracer.entries())],
-            AuditSink::Stream(stream) => vec![stream.finish()],
-        }
-    }
-}
-
 /// The engine's single trace-event tap: every emitted event goes to the
-/// optional span accountant and then to the audit sink. Both consumers
-/// are streaming; neither buffers the trace. With both off, the cost per
-/// event is one `None` check and one `Off` match.
+/// optional span accountant and then to the optional online
+/// [`AuditStream`]. Both consumers are streaming; neither buffers the
+/// trace. With both off, the cost per event is two `None` checks.
 #[derive(Debug)]
 struct Tap {
-    sink: AuditSink,
+    audit: Option<Box<AuditStream>>,
     spans: Option<Box<TimeAccountant>>,
 }
 
 impl Tap {
     fn new(cfg: &SchedConfig, auditor: &TraceAuditor, system: &SystemConfig) -> Tap {
         Tap {
-            sink: AuditSink::new(cfg, auditor),
+            audit: cfg.audit.then(|| Box::new(auditor.stream())),
             spans: cfg
                 .obs
                 .then(|| Box::new(TimeAccountant::new(topology_of(system)))),
@@ -231,18 +165,21 @@ impl Tap {
         if let Some(acc) = self.spans.as_deref_mut() {
             acc.observe(time, &event);
         }
-        self.sink.emit(time, event);
+        if let Some(stream) = self.audit.as_deref_mut() {
+            stream.push(&TraceEntry { time, event });
+        }
     }
 
-    /// Closes both consumers: audit reports from the sink, the time
-    /// budget (booked against makespan `end`) from the accountant.
-    fn finish(
-        self,
-        auditor: &TraceAuditor,
-        end: SimTime,
-    ) -> (Vec<AuditReport>, Option<TimeBudget>) {
+    /// Closes both consumers: the audit report (empty when auditing is
+    /// off) and the time budget, booked against makespan `end`.
+    fn finish(self, end: SimTime) -> (Vec<AuditReport>, Option<TimeBudget>) {
         let budget = self.spans.map(|acc| acc.finish(end));
-        (self.sink.finish(auditor), budget)
+        let reports = self
+            .audit
+            .map(|stream| stream.finish())
+            .into_iter()
+            .collect();
+        (reports, budget)
     }
 }
 
@@ -353,14 +290,7 @@ pub(crate) fn run_sequential(
         let r = if cfg.audit || acct.is_some() {
             let (r, tracer) = sim.serve_traced(&request.objects);
             if cfg.audit {
-                reports.push(match cfg.audit_mode {
-                    AuditMode::Batch => TraceAuditor::new().audit(tracer.entries()),
-                    AuditMode::Streaming => {
-                        let mut stream = TraceAuditor::new().stream();
-                        stream.push_all(tracer.entries());
-                        stream.finish()
-                    }
-                });
+                reports.push(TraceAuditor::new().audit(tracer.entries()));
             }
             observe_request_trace(&mut acct, start, &tracer);
             r
@@ -508,14 +438,7 @@ pub(crate) fn run_sequential_faulty(
         let r = if cfg.audit || acct.is_some() {
             let (r, tracer) = sim.serve_traced(&final_objects);
             if cfg.audit {
-                reports.push(match cfg.audit_mode {
-                    AuditMode::Batch => TraceAuditor::new().audit(tracer.entries()),
-                    AuditMode::Streaming => {
-                        let mut stream = TraceAuditor::new().stream();
-                        stream.push_all(tracer.entries());
-                        stream.finish()
-                    }
-                });
+                reports.push(TraceAuditor::new().audit(tracer.entries()));
             }
             observe_request_trace(&mut acct, start, &tracer);
             r
@@ -1431,7 +1354,6 @@ impl EngineCheckpoint {
 pub struct ShardEngine<'a> {
     world: SchedSim<'a>,
     sched: Scheduler<Ev>,
-    auditor: TraceAuditor,
     closed: bool,
     rejected: u64,
     watermark: SimTime,
@@ -1571,7 +1493,6 @@ impl<'a> ShardEngine<'a> {
         ShardEngine {
             world,
             sched: Scheduler::new(),
-            auditor,
             closed: false,
             rejected: 0,
             watermark: SimTime::ZERO,
@@ -1699,11 +1620,6 @@ impl<'a> ShardEngine<'a> {
         self.sched.events_processed()
     }
 
-    /// The engine's virtual clock (time of the last dispatched event).
-    pub fn now(&self) -> SimTime {
-        self.sched.now()
-    }
-
     /// Drains the event queue, surfaces unnoticed drive failures, sweeps
     /// stranded jobs into counted losses, and closes the books: metrics,
     /// audit reports, time budget and the submission ledger.
@@ -1711,7 +1627,6 @@ impl<'a> ShardEngine<'a> {
         let ShardEngine {
             mut world,
             mut sched,
-            auditor,
             rejected,
             ..
         } = self;
@@ -1799,7 +1714,7 @@ impl<'a> ShardEngine<'a> {
                 .filter_map(|r| r.first_plan.map(|k| (r.index, k)))
                 .collect(),
         });
-        let (reports, budget) = world.audit.finish(&auditor, end);
+        let (reports, budget) = world.audit.finish(end);
         ShardReport {
             outcome: SchedOutcome {
                 metrics,
@@ -2306,56 +2221,6 @@ mod tests {
                 "{}",
                 kind.label()
             );
-        }
-    }
-
-    /// Streaming (the default) and batch audit modes return identical
-    /// reports — and identical metrics — for both gears and for a faulty
-    /// concurrent run.
-    #[test]
-    fn audit_modes_agree_end_to_end() {
-        use tapesim_faults::FaultSpec;
-        let spec = ArrivalSpec {
-            per_hour: 30.0,
-            seed: 3,
-        };
-        let plans = [
-            FaultPlan::zero(heavy_setup().0.placement().config()),
-            FaultPlan::generate(
-                &FaultSpec::moderate(41),
-                heavy_setup().0.placement().config(),
-            ),
-        ];
-        for kind in crate::policy::PolicyKind::ALL {
-            for plan in &plans {
-                let run = |mode: AuditMode| {
-                    let (mut sim, w) = heavy_setup();
-                    run_scheduled_faulty(
-                        &mut sim,
-                        &w,
-                        kind.build().as_ref(),
-                        &SchedConfig::new(spec, 25)
-                            .with_audit(true)
-                            .with_audit_mode(mode),
-                        plan,
-                        &BTreeMap::new(),
-                    )
-                };
-                let streaming = run(AuditMode::Streaming);
-                let batch = run(AuditMode::Batch);
-                assert_eq!(
-                    streaming.reports,
-                    batch.reports,
-                    "{} reports diverge across audit modes",
-                    kind.label()
-                );
-                assert_eq!(
-                    streaming.metrics.avg_sojourn().to_bits(),
-                    batch.metrics.avg_sojourn().to_bits(),
-                    "{}: audit mode must not perturb the simulation",
-                    kind.label()
-                );
-            }
         }
     }
 

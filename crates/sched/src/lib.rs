@@ -39,11 +39,13 @@ pub mod parallel;
 pub mod policy;
 
 pub use engine::{
-    run_scheduled, run_scheduled_faulty, AuditMode, EngineCheckpoint, MergeOps, OpKey, SchedConfig,
+    run_scheduled, run_scheduled_faulty, EngineCheckpoint, MergeOps, OpKey, SchedConfig,
     SchedOutcome, ShardEngine, ShardReport,
 };
 pub use metrics::{RequestRecord, SchedMetrics};
-pub use parallel::{run_scheduled_faulty_parallel, run_scheduled_parallel, ParallelConfig};
+pub use parallel::{
+    run_scheduled_faulty_parallel, run_scheduled_parallel, LibrarySplit, ParallelConfig,
+};
 pub use policy::{BatchByTape, Fcfs, PolicyKind, SchedPolicy, SltfTape, TapeCandidate};
 pub use tapesim_obs::TimeBudget;
 pub use tapesim_sim::catalog::{tape_jobs, TapeJob};

@@ -6,20 +6,26 @@
 //! per-library, and a policy's dispatch decisions only read that
 //! library's state. The only *global* input is the arrival stream. So the
 //! run partitions into one [`ShardEngine`] per library, each fed the
-//! arrivals that touch its library, executed on its own thread under the
-//! conservative time-window protocol of [`tapesim_des::parallel`]:
+//! arrivals that touch its library (the [`LibrarySplit`] with one owner
+//! per library):
 //!
-//! * the **window schedule** comes from the precomputed arrival stream —
-//!   [`window_barriers`] chunks it and each barrier is the next
-//!   undelivered arrival instant (the arrival-insertion horizon);
-//! * within a round every partition submits its arrivals below the
-//!   barrier and pumps its event loop to the last *globally* delivered
-//!   arrival (strictly below the barrier), so no partition ever executes
-//!   an event that a future submission could precede;
-//! * after the last window the partitions drain and their
-//!   [`ShardReport`]s are **merged back into the monolithic result, bit
-//!   for bit** (golden fingerprints, audit verdicts and metric bits are
-//!   pinned identical by the equivalence tests).
+//! * **isolation** — partitions exchange no events, so no partition can
+//!   affect another at any time: the conservative (Chandy–Misra)
+//!   lookahead between them is unbounded, and no window or barrier is
+//!   ever needed. Each partition feeds its whole arrival slice in
+//!   order, pumping its clock to each arrival as a serve shard does (so
+//!   its event queue holds only in-flight work, not every future
+//!   arrival), and drains to completion on its own;
+//! * **scheduling** — partitions are handed round-robin to scoped worker
+//!   threads; a worker runs one partition to its [`ShardReport`] and
+//!   drops the engine before it starts the next, so at most one engine
+//!   per worker is alive at a time;
+//! * **merge** — the partition reports are **merged back into the
+//!   monolithic result, bit for bit** (golden fingerprints, audit
+//!   verdicts and metric bits are pinned identical by the equivalence
+//!   tests). Thread count never changes what is computed: each
+//!   partition's run is a pure function of its own arrivals, and the
+//!   merge reads the reports in library order.
 //!
 //! # The determinism argument (lockstep)
 //!
@@ -67,18 +73,12 @@ use crate::policy::SchedPolicy;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 use tapesim_des::audit::AuditReport;
-use tapesim_des::parallel::{run_windowed, window_barriers, WindowPartition, WindowTrace};
 use tapesim_des::SimTime;
 use tapesim_faults::FaultPlan;
 use tapesim_model::{ObjectId, SystemConfig};
 use tapesim_sim::catalog::{tape_jobs, TapeJob};
 use tapesim_sim::Simulator;
 use tapesim_workload::{RequestStream, Workload};
-
-/// Arrivals delivered per synchronization round when
-/// [`ParallelConfig::window`] is 0. Large enough to amortise the round
-/// barrier, small enough that partitions stay time-synchronised.
-const DEFAULT_WINDOW: usize = 64;
 
 /// How (and whether) a scheduled run may execute in parallel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,8 +88,6 @@ pub struct ParallelConfig {
     /// Worker threads (0 = one per available CPU, clamped to the
     /// partition count either way).
     pub threads: usize,
-    /// Arrivals delivered per window round (0 = [`DEFAULT_WINDOW`]).
-    pub window: usize,
 }
 
 impl Default for ParallelConfig {
@@ -104,29 +102,20 @@ impl ParallelConfig {
         ParallelConfig {
             enabled: false,
             threads: 0,
-            window: 0,
         }
     }
 
-    /// Parallel execution enabled with automatic thread count and the
-    /// default window.
+    /// Parallel execution enabled with automatic thread count.
     pub fn on() -> ParallelConfig {
         ParallelConfig {
             enabled: true,
             threads: 0,
-            window: 0,
         }
     }
 
     /// Sets the worker-thread count (0 = auto).
     pub fn with_threads(mut self, threads: usize) -> ParallelConfig {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the arrivals-per-round window (0 = default).
-    pub fn with_window(mut self, window: usize) -> ParallelConfig {
-        self.window = window;
         self
     }
 
@@ -145,19 +134,95 @@ impl ParallelConfig {
                 .ok()
                 .and_then(|v| v.trim().parse().ok())
                 .unwrap_or(0);
-            ParallelConfig {
-                enabled,
-                threads,
-                window: 0,
-            }
+            ParallelConfig { enabled, threads }
         })
     }
 }
 
+/// A system's libraries divided among independent owners: owner `o`
+/// holds every library with `lib % owners == o`, and gets everything it
+/// needs to serve its share of a demand stream on its own. The serve
+/// runtime splits over its shards; the parallel gear is the case
+/// `owners = libraries`.
+#[derive(Debug, Clone)]
+pub struct LibrarySplit {
+    /// Per owner: the job catalog (per workload rank) restricted to the
+    /// owner's tapes.
+    pub catalogs: Vec<Vec<Vec<TapeJob>>>,
+    /// Per owner: the fault plan restricted to the owner's hardware.
+    /// The restrictions partition the libraries, so their union is the
+    /// full plan.
+    pub plans: Vec<FaultPlan>,
+    /// Per workload rank: the owners holding work for it, ascending. A
+    /// request with no tape work at all is homed on owner
+    /// `rank % owners`, which serves it instantaneously, so every
+    /// request reaches exactly one owner at least.
+    pub fanouts: Vec<Vec<usize>>,
+}
+
+impl LibrarySplit {
+    /// Splits `catalog` (per workload rank, as built by [`tape_jobs`])
+    /// and `plan` over `owners` owners, clamped to `[1, libraries]` — an
+    /// owner with no library would idle forever.
+    pub fn new(
+        system: &SystemConfig,
+        catalog: &[Vec<TapeJob>],
+        plan: &FaultPlan,
+        owners: usize,
+    ) -> LibrarySplit {
+        let libs = (system.libraries as usize).max(1);
+        let n = owners.clamp(1, libs);
+        let catalogs: Vec<Vec<Vec<TapeJob>>> = (0..n)
+            .map(|o| {
+                catalog
+                    .iter()
+                    .map(|jobs| {
+                        jobs.iter()
+                            .filter(|j| j.tape.library.idx() % n == o)
+                            .cloned()
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        let plans = (0..n)
+            .map(|o| {
+                let owned: Vec<bool> = (0..libs).map(|lib| lib % n == o).collect();
+                plan.restrict_to_libraries(system, &owned)
+            })
+            .collect();
+        let fanouts = (0..catalog.len())
+            .map(|rank| {
+                let targets: Vec<usize> = catalogs
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, c)| c.get(rank).is_some_and(|jobs| !jobs.is_empty()))
+                    .map(|(o, _)| o)
+                    .collect();
+                if targets.is_empty() {
+                    vec![rank % n]
+                } else {
+                    targets
+                }
+            })
+            .collect();
+        LibrarySplit {
+            catalogs,
+            plans,
+            fanouts,
+        }
+    }
+
+    /// The effective owner count.
+    pub fn owners(&self) -> usize {
+        self.catalogs.len()
+    }
+}
+
 /// [`crate::run_scheduled`] with an explicit parallel configuration:
-/// eligible runs execute one partition per library under the
-/// conservative window protocol; everything else falls back to the
-/// monolithic gears. Results are bit-identical either way.
+/// eligible runs execute one independent partition per library;
+/// everything else falls back to the monolithic gears. Results are
+/// bit-identical either way.
 pub fn run_scheduled_parallel(
     sim: &mut Simulator,
     workload: &Workload,
@@ -171,7 +236,7 @@ pub fn run_scheduled_parallel(
     let plan = FaultPlan::zero(sim.placement().config());
     let alternates = BTreeMap::new();
     match run_partitioned(sim, workload, policy, cfg, &plan, &alternates, par) {
-        Some((outcome, _)) => outcome,
+        Some(outcome) => outcome,
         None => run_concurrent(sim, workload, policy, cfg, &plan, &alternates),
     }
 }
@@ -200,70 +265,13 @@ pub fn run_scheduled_faulty_parallel(
         };
     }
     match run_partitioned(sim, workload, policy, cfg, plan, alternates, par) {
-        Some((outcome, _)) => outcome,
+        Some(outcome) => outcome,
         None => run_concurrent(sim, workload, policy, cfg, plan, alternates),
     }
 }
 
-/// One per-library partition driven by the window protocol: its slice of
-/// the arrival stream, the engine executing it, and the pre-computed
-/// per-round pump watermark (the last globally delivered arrival, always
-/// strictly below the round's barrier).
-struct Partition<'s, 'e> {
-    engine: Option<ShardEngine<'e>>,
-    /// This partition's submissions `(arrival, catalog rank)`, a
-    /// nondecreasing subsequence of the global stream.
-    subs: &'s [(SimTime, usize)],
-    cursor: usize,
-    /// Per-round pump bound, aligned with the barrier schedule.
-    watermarks: &'s [SimTime],
-    round: usize,
-    report: Option<ShardReport>,
-}
-
-impl WindowPartition for Partition<'_, '_> {
-    fn advance(&mut self, barrier: SimTime) {
-        // Both misses are protocol violations the runner never commits
-        // (advance after drain, more rounds than the schedule holds);
-        // doing nothing keeps the partition safely *behind* the barrier.
-        let Some(engine) = self.engine.as_mut() else {
-            return;
-        };
-        let Some(&watermark) = self.watermarks.get(self.round) else {
-            return;
-        };
-        self.round += 1;
-        while let Some(&(at, rank)) = self.subs.get(self.cursor) {
-            if at >= barrier {
-                break;
-            }
-            engine.submit(at, rank);
-            self.cursor += 1;
-        }
-        engine.pump(watermark);
-    }
-
-    fn drain(&mut self) {
-        // A second drain finds the engine gone and keeps the first
-        // drain's report.
-        let Some(mut engine) = self.engine.take() else {
-            return;
-        };
-        for &(at, rank) in self.subs.get(self.cursor..).unwrap_or_default() {
-            engine.submit(at, rank);
-        }
-        self.cursor = self.subs.len();
-        self.report = Some(engine.finish());
-    }
-
-    fn clock(&self) -> SimTime {
-        self.engine.as_ref().map_or(SimTime::ZERO, ShardEngine::now)
-    }
-}
-
 /// Runs the partitioned gear if the run is eligible, returning the
-/// merged outcome and the window trace (for the barrier-correctness
-/// tests); `None` means "use the monolithic gear".
+/// merged outcome; `None` means "use the monolithic gear".
 pub(crate) fn run_partitioned(
     sim: &Simulator,
     workload: &Workload,
@@ -272,7 +280,7 @@ pub(crate) fn run_partitioned(
     plan: &FaultPlan,
     alternates: &BTreeMap<ObjectId, Vec<ObjectId>>,
     par: &ParallelConfig,
-) -> Option<(SchedOutcome, WindowTrace)> {
+) -> Option<SchedOutcome> {
     let system = sim.placement().config();
     let nparts = system.libraries as usize;
     if !par.enabled || nparts < 2 || policy.sequential() || cfg.obs {
@@ -290,9 +298,12 @@ pub(crate) fn run_partitioned(
         .iter()
         .map(|r| tape_jobs(placement, &r.objects))
         .collect();
+    let split = LibrarySplit::new(system, &catalog, plan, nparts);
 
     // The full demand stream, drawn exactly as the monolithic gear draws
-    // it — the window schedule needs it up front anyway.
+    // it, fanned out to every library its jobs touch. `globals` joins a
+    // partition's local submission indices back to global ones for the
+    // merge.
     let mut stream = RequestStream::new(cfg.arrivals, workload);
     let draws: Vec<(SimTime, usize)> = (0..cfg.samples)
         .map(|_| {
@@ -300,47 +311,15 @@ pub(crate) fn run_partitioned(
             (SimTime::from_secs(at), ridx)
         })
         .collect();
-
-    // Per-library views: the catalog restricted to each library's tapes,
-    // and the fault plan restricted to each library's hardware (their
-    // union over the partition is the full plan).
-    let catalogs: Vec<Vec<Vec<TapeJob>>> = (0..nparts)
-        .map(|p| {
-            catalog
-                .iter()
-                .map(|jobs| {
-                    jobs.iter()
-                        .filter(|j| j.tape.library.idx() == p)
-                        .cloned()
-                        .collect()
-                })
-                .collect()
-        })
-        .collect();
-    let plans: Vec<FaultPlan> = (0..nparts)
-        .map(|p| {
-            let owned: Vec<bool> = (0..nparts).map(|lib| lib == p).collect();
-            plan.restrict_to_libraries(system, &owned)
-        })
-        .collect();
-
-    // Fan the stream out: every draw goes to each library its jobs
-    // touch; an empty request (nothing to stream) is recorded by a
-    // deterministic home partition. `globals` joins a partition's local
-    // submission indices back to global ones for the merge.
     let mut subs: Vec<Vec<(SimTime, usize)>> = vec![Vec::new(); nparts];
     let mut globals: Vec<Vec<usize>> = vec![Vec::new(); nparts];
     for (g, &(at, rank)) in draws.iter().enumerate() {
-        if catalog.get(rank).is_none_or(Vec::is_empty) {
-            let p = rank % nparts;
+        for &p in split
+            .fanouts
+            .get(rank)
+            .map_or(&[] as &[usize], Vec::as_slice)
+        {
             if let (Some(sub), Some(glob)) = (subs.get_mut(p), globals.get_mut(p)) {
-                sub.push((at, rank));
-                glob.push(g);
-            }
-            continue;
-        }
-        for (cat, (sub, glob)) in catalogs.iter().zip(subs.iter_mut().zip(globals.iter_mut())) {
-            if cat.get(rank).is_some_and(|jobs| !jobs.is_empty()) {
                 sub.push((at, rank));
                 glob.push(g);
             }
@@ -348,71 +327,61 @@ pub(crate) fn run_partitioned(
     }
     let total_subs: usize = subs.iter().map(Vec::len).sum();
 
-    let window = if par.window == 0 {
-        DEFAULT_WINDOW
-    } else {
-        par.window
+    // One partition, start to finish: feed its whole arrival slice
+    // (submit, then pump to the arrival — the engine's incremental
+    // contract, bit-identical to submitting everything up front), drain,
+    // and drop the engine with its report handed back.
+    let run_part = |p: usize| -> Option<ShardReport> {
+        let lib_plan = split.plans.get(p)?;
+        let lib_catalog = split.catalogs.get(p)?;
+        let mut engine =
+            ShardEngine::new_owned(sim, policy, cfg, lib_plan, alternates, lib_catalog, Some(p));
+        engine.enable_merge_log();
+        for &(at, rank) in subs.get(p)? {
+            engine.submit(at, rank);
+            engine.pump(at);
+        }
+        Some(engine.finish())
     };
-    let times: Vec<SimTime> = draws.iter().map(|&(at, _)| at).collect();
-    let barriers = window_barriers(&times, window);
-    // Each round pumps to the last arrival below its barrier: safe for
-    // every partition (all its sub-barrier submissions are in), and
-    // strictly below the barrier by `window_barriers`' construction.
-    let watermarks: Vec<SimTime> = barriers
-        .iter()
-        .map(|&b| {
-            times
-                .get(..times.partition_point(|&t| t < b))
-                .and_then(<[SimTime]>::last)
-                .copied()
-                .unwrap_or(SimTime::ZERO)
-        })
-        .collect();
-
-    let mut parts: Vec<Partition> = plans
-        .iter()
-        .zip(catalogs.iter())
-        .zip(subs.iter())
-        .enumerate()
-        .map(|(p, ((lib_plan, lib_catalog), lib_subs))| {
-            let mut engine = ShardEngine::new_owned(
-                sim,
-                policy,
-                cfg,
-                lib_plan,
-                alternates,
-                lib_catalog,
-                Some(p),
-            );
-            engine.enable_merge_log();
-            Partition {
-                engine: Some(engine),
-                subs: lib_subs,
-                cursor: 0,
-                watermarks: &watermarks,
-                round: 0,
-                report: None,
-            }
-        })
-        .collect();
-
-    let threads = if par.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        par.threads
-    };
-    let trace = run_windowed(&mut parts, &barriers, threads);
-
-    let reports: Vec<ShardReport> = parts.into_iter().filter_map(|p| p.report).collect();
+    let threads = match par.threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    }
+    .clamp(1, nparts);
+    let mut done: Vec<(usize, Option<ShardReport>)> = std::thread::scope(|scope| {
+        // Round-robin ownership: worker t runs partitions t, t+threads, ….
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let run_part = &run_part;
+                scope.spawn(move || {
+                    (t..nparts)
+                        .step_by(threads)
+                        .map(|p| (p, run_part(p)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| match worker.join() {
+                Ok(done) => done,
+                // A worker panic is the partition's own bug; surface it
+                // on the caller's thread with the original payload.
+                Err(payload) => std::panic::resume_unwind(payload),
+            })
+            .collect()
+    });
+    // The merge reads the reports in library order.
+    done.sort_by_key(|&(p, _)| p);
+    let reports: Vec<ShardReport> = done.into_iter().filter_map(|(_, report)| report).collect();
     if reports.len() != nparts {
-        // A partition was never drained — a runner bug; fall back to
+        // A partition produced no report — a runner bug; fall back to
         // the monolithic gear rather than merge a partial result.
         return None;
     }
-    let outcome = merge(
+    Some(merge(
         system, plan, &draws, &catalog, total_subs, &globals, reports,
-    );
-    Some((outcome, trace))
+    ))
 }
 
 /// Rebuilds the monolithic [`SchedOutcome`] from the partition reports.
@@ -775,6 +744,9 @@ mod tests {
         }
     }
 
+    /// Partitions exchange no events, so there is no arrival window left
+    /// to vary: the feed into each partition is fixed, and only the
+    /// worker-thread count may differ between runs.
     #[test]
     fn thread_and_window_counts_never_change_the_bits() {
         let cfg = SchedConfig::new(spec(23), 32).with_audit(true);
@@ -786,15 +758,16 @@ mod tests {
             &cfg,
             &ParallelConfig::off(),
         );
-        for threads in [1, 2, 8] {
-            for window in [1, 7, 64] {
-                let par_cfg = ParallelConfig::on()
-                    .with_threads(threads)
-                    .with_window(window);
-                let (mut sim, _) = heavy_setup();
-                let par = run_scheduled_parallel(&mut sim, &w, &BatchByTape, &cfg, &par_cfg);
-                assert_identical(&par, &mono);
-            }
+        for threads in [1, 2, 3, 8] {
+            let (mut sim, _) = heavy_setup();
+            let par = run_scheduled_parallel(
+                &mut sim,
+                &w,
+                &BatchByTape,
+                &cfg,
+                &ParallelConfig::on().with_threads(threads),
+            );
+            assert_identical(&par, &mono);
         }
     }
 
@@ -828,29 +801,85 @@ mod tests {
         }
     }
 
-    /// Satellite 4's invariant, asserted on the engine's own trace: no
-    /// partition ever executes an event at or above a window barrier.
+    /// The faulted gear under every thread count: retries and repairs
+    /// stay inside their library's partition, so the worker count never
+    /// changes what a faulted run computes.
     #[test]
-    fn no_partition_executes_at_or_above_a_barrier() {
-        let cfg = SchedConfig::new(spec(5), 48).with_audit(true);
-        let (sim, w) = heavy_setup();
-        let plan = FaultPlan::zero(sim.placement().config());
+    fn thread_count_does_not_change_results() {
+        let plan = FaultPlan::generate(&FaultSpec::moderate(31), &paper_table1());
         let alternates = BTreeMap::new();
-        let (_, trace) = run_partitioned(
-            &sim,
+        let cfg = SchedConfig::new(spec(13), 32).with_audit(true);
+        let (mut mono_sim, w) = heavy_setup();
+        let mono = run_scheduled_faulty_parallel(
+            &mut mono_sim,
             &w,
-            &BatchByTape,
+            &SltfTape,
             &cfg,
             &plan,
             &alternates,
-            &ParallelConfig::on().with_threads(2).with_window(4),
-        )
-        .expect("three-library fixture must be eligible");
-        assert!(!trace.rounds.is_empty(), "windowed run recorded no rounds");
-        assert!(
-            trace.is_conservative(),
-            "a partition clock reached a window barrier"
+            &ParallelConfig::off(),
         );
+        for threads in [1, 2, 8] {
+            let (mut sim, _) = heavy_setup();
+            let par = run_scheduled_faulty_parallel(
+                &mut sim,
+                &w,
+                &SltfTape,
+                &cfg,
+                &plan,
+                &alternates,
+                &ParallelConfig::on().with_threads(threads),
+            );
+            assert_identical(&par, &mono);
+        }
+    }
+
+    /// The split behind both the serve shards and the partitions: every
+    /// job lands with exactly one owner, every rank reaches at least one
+    /// owner (empty requests on `rank % owners`), and the restricted
+    /// fault plans keep each drive failure exactly once.
+    #[test]
+    fn library_split_hands_every_job_to_one_owner() {
+        let (sim, w) = heavy_setup();
+        let system = sim.placement().config();
+        let mut catalog: Vec<Vec<TapeJob>> = w
+            .requests()
+            .iter()
+            .map(|r| tape_jobs(sim.placement(), &r.objects))
+            .collect();
+        catalog.push(Vec::new());
+        let plan = FaultPlan::generate(&FaultSpec::moderate(29), system);
+        for owners in [0, 1, 2, 3, 7] {
+            let split = LibrarySplit::new(system, &catalog, &plan, owners);
+            let n = owners.clamp(1, 3);
+            assert_eq!(split.owners(), n);
+            assert_eq!(split.fanouts.len(), catalog.len());
+            for (rank, jobs) in catalog.iter().enumerate() {
+                let held: usize = split
+                    .catalogs
+                    .iter()
+                    .map(|c| c.get(rank).map_or(0, Vec::len))
+                    .sum();
+                assert_eq!(held, jobs.len(), "rank {rank}: jobs lost or duplicated");
+                let fanout = &split.fanouts[rank];
+                if jobs.is_empty() {
+                    assert_eq!(fanout, &vec![rank % n], "empty rank {rank} homing");
+                } else {
+                    for &o in fanout {
+                        assert!(split.catalogs[o][rank]
+                            .iter()
+                            .all(|j| j.tape.library.idx() % n == o));
+                    }
+                }
+            }
+            let failures = |p: &FaultPlan| {
+                (0..system.total_drives())
+                    .filter(|&d| p.clock().drive_fail_at(d) < SimTime::MAX)
+                    .count()
+            };
+            let split_failures: usize = split.plans.iter().map(failures).sum();
+            assert_eq!(split_failures, failures(&plan), "{owners} owners");
+        }
     }
 
     #[test]

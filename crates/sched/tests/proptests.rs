@@ -21,7 +21,7 @@
 //!    span to any resource (idle in particular), and keeps every
 //!    per-library overlap ratio inside `[0, 1]`.
 //! 7. **Parallel equivalence** — across random (seed, rate, samples,
-//!    threads, window) the partitioned window engine reproduces the
+//!    threads) the per-library partitioned engine reproduces the
 //!    monolithic gear bit for bit: metric floats, served/mount/event
 //!    counts, audit verdicts and summed trace-entry counts — fault-free
 //!    and under generated fault plans alike.
@@ -397,8 +397,8 @@ proptest! {
         }
     }
 
-    /// Family 7 (fault-free): any (seed, rate, samples) × (threads,
-    /// window) point produces the monolithic bits through the
+    /// Family 7 (fault-free): any (seed, rate, samples) × threads
+    /// point produces the monolithic bits through the
     /// partitioned engine, for every policy including the sequential
     /// baseline (which must route around partitioning entirely).
     #[test]
@@ -407,16 +407,13 @@ proptest! {
         rate_tenths in 5u32..400,
         samples in 5usize..25,
         threads in 1usize..9,
-        window in 1usize..96,
     ) {
         let spec = ArrivalSpec {
             per_hour: rate_tenths as f64 / 10.0,
             seed,
         };
         let cfg = SchedConfig::new(spec, samples).with_audit(true);
-        let par_cfg = ParallelConfig::on()
-            .with_threads(threads)
-            .with_window(window);
+        let par_cfg = ParallelConfig::on().with_threads(threads);
         for kind in PolicyKind::ALL {
             let (mut mono_sim, w) = heavy_setup(17);
             let mono = run_scheduled_parallel(
@@ -449,15 +446,12 @@ proptest! {
         intensity_tenths in 1u32..40,
         samples in 5usize..20,
         threads in 1usize..9,
-        window in 1usize..96,
     ) {
         let spec = ArrivalSpec { per_hour: 25.0, seed };
         let fspec = FaultSpec::moderate(fault_seed)
             .scaled(intensity_tenths as f64 / 10.0);
         let cfg = SchedConfig::new(spec, samples).with_audit(true);
-        let par_cfg = ParallelConfig::on()
-            .with_threads(threads)
-            .with_window(window);
+        let par_cfg = ParallelConfig::on().with_threads(threads);
         let alternates = BTreeMap::new();
         for kind in PolicyKind::ALL {
             let plan = FaultPlan::generate(&fspec, &paper_table1());

@@ -1,14 +1,14 @@
-//! The supervision tree over the serve runtime: chaos injection, crash
-//! detection, checkpoint/replay restart, and health-based admission
-//! control.
+//! The service's one actor loop, under supervision: ingestion, shard
+//! actors and snapshot barriers, plus chaos injection, crash detection,
+//! checkpoint/replay restart, and health-based admission control.
 //!
 //! # Topology
 //!
-//! [`supervisor_run`] replaces `serve_run`'s fire-and-forget spawn with
-//! a *seat* per shard: the supervisor (on the ingestion thread) owns
-//! each seat's submission channel, its accepted-submission **log**, and
-//! its incarnation counter. A shard death never kills the run — the
-//! seat is restarted after a capped-exponential backoff with a
+//! [`supervisor_run`] keeps a *seat* per shard: the supervisor (on the
+//! ingestion thread) owns each seat's submission channel, its
+//! accepted-submission **log**, and its incarnation counter. Each seat
+//! runs one `supervised_shard` thread. A shard death never kills the
+//! run — the seat is restarted after a capped-exponential backoff with a
 //! [`tapesim_sched::EngineCheckpoint`] rebuilt from the log, and the
 //! new incarnation *replays* the logged prefix before taking new work.
 //!
@@ -40,9 +40,9 @@
 //! a counted [`FailureReason::Unresponsive`] failure with its log shed,
 //! provided its thread eventually observes channel disconnect.
 //!
-//! With an empty `ChaosPlan` and no health policy, the supervised run
-//! is bit-identical to `serve_run` — same merged registry, same
-//! snapshot sequence, same joined records. Pinned by tests.
+//! With an empty `ChaosPlan` and no health policy nothing is injected,
+//! shed or restarted: every barrier acknowledges, and the run is the
+//! plain sharded service (what `tapesim serve --campaign` runs).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
@@ -153,16 +153,24 @@ struct Seat {
     resume_at: Option<u64>,
 }
 
+/// What a new incarnation starts from: its generation, and the logged
+/// ids plus the checkpoint that replays them (`None` when nothing was
+/// ever accepted).
+type Incarnation = (u64, Option<(Vec<u64>, EngineCheckpoint)>);
+
 impl Seat {
-    /// The restart payload: the logged ids plus the checkpoint that
-    /// replays them. `None` when nothing was ever accepted.
-    fn checkpoint(&self) -> Option<(Vec<u64>, EngineCheckpoint)> {
+    /// Opens the seat's next incarnation: clears any pending restart,
+    /// bumps the generation and cuts the restart payload from the log.
+    fn next_incarnation(&mut self) -> Incarnation {
+        self.resume_at = None;
+        self.generation += 1;
         if self.log.is_empty() {
-            return None;
+            return (self.generation, None);
         }
         let ids = self.log.iter().map(|&(id, _, _)| id).collect();
         let arrivals = self.log.iter().map(|&(_, at, rank)| (at, rank)).collect();
-        Some((ids, EngineCheckpoint::from_arrivals(arrivals)))
+        let ckpt = EngineCheckpoint::from_arrivals(arrivals);
+        (self.generation, Some((ids, ckpt)))
     }
 }
 
@@ -337,11 +345,17 @@ fn supervised_shard(
     let _delivered = books.send(payload);
 }
 
-/// Runs the service under supervision: like
-/// [`crate::runtime::serve_run`], but with `chaos` injected in-band,
-/// dead shards restarted from their submission logs, and (optionally)
-/// health-laddered admission control. See the module docs for the
-/// determinism argument; conservation is
+/// Runs the service end to end: ingest `cfg.samples` requests from the
+/// canonical demand stream, serve them across per-library shards, and
+/// join everything into one deterministic [`ServeReport`] — with
+/// `chaos` injected in-band, dead shards restarted from their
+/// submission logs, and (optionally) health-laddered admission control.
+///
+/// `plan` is the *global* fault plan; each shard sees only the faults
+/// on the libraries it owns ([`FaultPlan::restrict_to_libraries`]).
+/// `alternates` maps objects to replica copies for failover, exactly as
+/// in [`tapesim_sched::run_scheduled_faulty`]. See the module docs for
+/// the determinism argument; conservation is
 /// `submitted = served + lost + shed + rejected`, every leg explicit.
 #[allow(clippy::too_many_arguments)]
 pub fn supervisor_run(
@@ -355,7 +369,7 @@ pub fn supervisor_run(
     sup: &SuperviseConfig,
 ) -> ServeReport {
     let topo = topology(sim, workload, cfg, plan);
-    let nshards = topo.nshards;
+    let nshards = topo.split.owners();
     let sched_cfg = &topo.sched_cfg;
     let watchdog = Duration::from_millis(sup.watchdog_ms.max(1));
     let bound = cfg.channel_bound.max(1);
@@ -370,14 +384,11 @@ pub fn supervisor_run(
         let mut txs: BTreeMap<usize, SyncSender<SupMsg>> = BTreeMap::new();
         let mut joins = BTreeMap::new();
 
-        let spawn_seat = |s: usize,
-                          generation: u64,
-                          restore: Option<(Vec<u64>, EngineCheckpoint)>,
-                          rx: Receiver<SupMsg>| {
+        let spawn_seat = |s: usize, (generation, restore): Incarnation, rx: Receiver<SupMsg>| {
             let updates = upd_tx.clone();
             let books = done_tx.clone();
-            let catalog: &[Vec<TapeJob>] = topo.shard_catalogs.get(s).map_or(&[], Vec::as_slice);
-            let shard_plan = match topo.shard_plans.get(s) {
+            let catalog: &[Vec<TapeJob>] = topo.split.catalogs.get(s).map_or(&[], Vec::as_slice);
+            let shard_plan = match topo.split.plans.get(s) {
                 Some(p) => p,
                 None => plan,
             };
@@ -391,7 +402,7 @@ pub fn supervisor_run(
 
         for s in 0..nshards {
             let (tx, rx) = sync_channel::<SupMsg>(bound);
-            joins.insert(s, spawn_seat(s, 0, None, rx));
+            joins.insert(s, spawn_seat(s, (0, None), rx));
             txs.insert(s, tx);
         }
 
@@ -404,23 +415,12 @@ pub fn supervisor_run(
         for id in 0..cfg.samples as u64 {
             // 1. Resurrect seats whose backoff window has closed:
             //    fresh incarnation, engine replayed from the log.
-            for s in 0..nshards {
-                let due = seats
-                    .get(s)
-                    .is_some_and(|seat| seat.resume_at.is_some_and(|d| d <= id));
-                if !due {
-                    continue;
+            for (s, seat) in seats.iter_mut().enumerate() {
+                if seat.resume_at.is_some_and(|d| d <= id) {
+                    let (tx, rx) = sync_channel::<SupMsg>(bound);
+                    joins.insert(s, spawn_seat(s, seat.next_incarnation(), rx));
+                    txs.insert(s, tx);
                 }
-                let Some(seat) = seats.get_mut(s) else {
-                    continue;
-                };
-                seat.resume_at = None;
-                seat.generation += 1;
-                let restore = seat.checkpoint();
-                let generation = seat.generation;
-                let (tx, rx) = sync_channel::<SupMsg>(bound);
-                joins.insert(s, spawn_seat(s, generation, restore, rx));
-                txs.insert(s, tx);
             }
 
             // 2. Draw the canonical stream; admit or shed.
@@ -432,6 +432,7 @@ pub fn supervisor_run(
                 extra.shed_admission.insert(id);
             } else {
                 let targets = topo
+                    .split
                     .fanouts
                     .get(rank)
                     .map_or(&[] as &[usize], Vec::as_slice);
@@ -550,9 +551,8 @@ pub fn supervisor_run(
                         );
                     }
                 }
-                // Merge in ascending shard order — the collector's
-                // arithmetic exactly, so an all-alive barrier is
-                // bit-identical to serve_run's snapshot. Dead seats
+                // Merge in ascending shard order, so the snapshot is a
+                // pure function of the acknowledged states. Dead seats
                 // contribute their last acknowledged state.
                 let mut merged = MetricsRegistry::new();
                 for seat_reg in last_regs.values() {
@@ -572,21 +572,12 @@ pub fn supervisor_run(
 
         // 5. Drain. Dead seats get one final recovery incarnation so
         //    their logged work is replayed and served, not shed.
-        for s in 0..nshards {
-            let due = seats.get(s).is_some_and(|seat| seat.resume_at.is_some());
-            if !due {
-                continue;
+        for (s, seat) in seats.iter_mut().enumerate() {
+            if seat.resume_at.is_some() {
+                let (tx, rx) = sync_channel::<SupMsg>(bound);
+                joins.insert(s, spawn_seat(s, seat.next_incarnation(), rx));
+                txs.insert(s, tx);
             }
-            let Some(seat) = seats.get_mut(s) else {
-                continue;
-            };
-            seat.resume_at = None;
-            seat.generation += 1;
-            let restore = seat.checkpoint();
-            let generation = seat.generation;
-            let (tx, rx) = sync_channel::<SupMsg>(bound);
-            joins.insert(s, spawn_seat(s, generation, restore, rx));
-            txs.insert(s, tx);
         }
         // Hang up: every live seat drains, finishes and reports.
         txs.clear();
@@ -620,13 +611,10 @@ pub fn supervisor_run(
                     reason,
                     at_draw: cfg.samples as u64,
                 });
-                seat.generation += 1;
                 seat.restarts += 1;
                 extra.restarts += 1;
-                let restore = seat.checkpoint();
-                let generation = seat.generation;
                 let (tx, rx) = sync_channel::<SupMsg>(bound);
-                joins.insert(s, spawn_seat(s, generation, restore, rx));
+                joins.insert(s, spawn_seat(s, seat.next_incarnation(), rx));
                 drop(tx);
             }
             collect_books(&done_rx, &seats, &joins, &mut books, watchdog);

@@ -1,4 +1,5 @@
-//! The two determinism pins the serve subsystem stands on:
+//! The two determinism pins the serve subsystem stands on, for the plain
+//! service (`supervisor_run` with no chaos and no health policy):
 //!
 //! 1. a **single-shard** fixed-seed serve run reproduces the equivalent
 //!    `tapesim sched` batch run's per-request metrics *bit for bit*
@@ -9,12 +10,12 @@
 //!    identical joined records.
 
 use std::collections::BTreeMap;
-use tapesim_faults::{FaultPlan, FaultSpec};
+use tapesim_faults::{ChaosPlan, FaultPlan, FaultSpec};
 use tapesim_model::specs::paper_table1;
 use tapesim_model::Bytes;
 use tapesim_placement::{ParallelBatchPlacement, PlacementPolicy};
 use tapesim_sched::{run_scheduled, PolicyKind, SchedConfig};
-use tapesim_serve::{serve_run, ServeConfig};
+use tapesim_serve::{supervisor_run, ServeConfig, ServeReport, SuperviseConfig};
 use tapesim_sim::Simulator;
 use tapesim_workload::{ArrivalSpec, ObjectSizeSpec, RequestSpec, Workload, WorkloadSpec};
 
@@ -40,6 +41,26 @@ fn setup() -> (Simulator, Workload) {
     (Simulator::with_natural_policy(p, 4), w)
 }
 
+/// The plain sharded service: no chaos, no health policy, no replicas.
+fn serve(
+    sim: &Simulator,
+    w: &Workload,
+    kind: PolicyKind,
+    cfg: &ServeConfig,
+    plan: &FaultPlan,
+) -> ServeReport {
+    supervisor_run(
+        sim,
+        w,
+        kind,
+        cfg,
+        plan,
+        &BTreeMap::new(),
+        &ChaosPlan::zero(cfg.shards),
+        &SuperviseConfig::default(),
+    )
+}
+
 fn arrivals() -> ArrivalSpec {
     ArrivalSpec {
         per_hour: 30.0,
@@ -61,7 +82,7 @@ fn single_shard_reproduces_batch_bit_for_bit() {
 
         let (serve_sim, _) = setup();
         let plan = FaultPlan::zero(serve_sim.placement().config());
-        let report = serve_run(
+        let report = serve(
             &serve_sim,
             &w,
             kind,
@@ -69,7 +90,6 @@ fn single_shard_reproduces_batch_bit_for_bit() {
                 .with_shards(1)
                 .with_audit(true),
             &plan,
-            &BTreeMap::new(),
         );
 
         assert!(report.is_clean(), "serve run must audit clean");
@@ -114,7 +134,7 @@ fn multi_shard_replay_is_deterministic() {
     let run = || {
         let (sim, w) = setup();
         let plan = FaultPlan::zero(sim.placement().config());
-        serve_run(
+        serve(
             &sim,
             &w,
             PolicyKind::BatchByTape,
@@ -124,7 +144,6 @@ fn multi_shard_replay_is_deterministic() {
                 .with_snapshot_every(10)
                 .with_channel_bound(4),
             &plan,
-            &BTreeMap::new(),
         )
     };
     let a = run();
@@ -158,13 +177,12 @@ fn shard_counts_agree_on_conservation() {
     for shards in [1, 2, 3] {
         let (sim, w) = setup();
         let plan = FaultPlan::zero(sim.placement().config());
-        let report = serve_run(
+        let report = serve(
             &sim,
             &w,
             PolicyKind::SltfTape,
             &ServeConfig::new(arrivals(), 25).with_shards(shards),
             &plan,
-            &BTreeMap::new(),
         );
         assert_eq!(report.shards, shards);
         assert_eq!(report.submitted, 25);
@@ -193,7 +211,7 @@ fn faulty_multi_shard_run_is_deterministic_and_audited() {
             },
             sim.placement().config(),
         );
-        serve_run(
+        serve(
             &sim,
             &w,
             PolicyKind::BatchByTape,
@@ -202,7 +220,6 @@ fn faulty_multi_shard_run_is_deterministic_and_audited() {
                 .with_audit(true)
                 .with_snapshot_every(8),
             &plan,
-            &BTreeMap::new(),
         )
     };
     let a = run();

@@ -22,7 +22,7 @@ use tapesim_model::specs::paper_table1;
 use tapesim_model::Bytes;
 use tapesim_placement::{ParallelBatchPlacement, PlacementPolicy};
 use tapesim_sched::PolicyKind;
-use tapesim_serve::{serve_run, supervisor_run, ServeConfig, SuperviseConfig};
+use tapesim_serve::{supervisor_run, ServeConfig, ServeReport, SuperviseConfig};
 use tapesim_sim::Simulator;
 use tapesim_workload::{ArrivalSpec, ObjectSizeSpec, RequestSpec, Workload, WorkloadSpec};
 
@@ -48,6 +48,26 @@ fn setup(seed: u64) -> (Simulator, Workload) {
     (Simulator::with_natural_policy(p, 2), w)
 }
 
+/// The plain sharded service: no chaos, no health policy, no replicas.
+fn serve(
+    sim: &Simulator,
+    w: &Workload,
+    kind: PolicyKind,
+    cfg: &ServeConfig,
+    plan: &FaultPlan,
+) -> ServeReport {
+    supervisor_run(
+        sim,
+        w,
+        kind,
+        cfg,
+        plan,
+        &BTreeMap::new(),
+        &ChaosPlan::zero(cfg.shards),
+        &SuperviseConfig::default(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -68,7 +88,7 @@ proptest! {
             1 => PolicyKind::BatchByTape,
             _ => PolicyKind::SltfTape,
         };
-        let report = serve_run(
+        let report = serve(
             &sim,
             &w,
             kind,
@@ -80,7 +100,6 @@ proptest! {
             .with_channel_bound(channel_bound)
             .with_snapshot_every(snapshot_every),
             &plan,
-            &BTreeMap::new(),
         );
 
         // Conservation: nothing dropped, nothing duplicated, nothing

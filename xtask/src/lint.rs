@@ -48,7 +48,8 @@
 //!   reachable (over the intra-workspace call graph, matched by name —
 //!   a deliberate over-approximation) from the engine entry points
 //!   (`run_queued*`, `run_scheduled*`, the sched/faults `dispatch*`
-//!   loops, the serve crate's `serve_run` and `supervisor_run`, and the
+//!   loops, the serve crate's `supervisor_run`, the partitioned
+//!   scheduler entry `run_partitioned`, and the
 //!   sim crate's `plan_with` seek-policy dispatcher — the exact-DP and
 //!   approx planners must be panic-free on any input).
 //!
@@ -808,13 +809,10 @@ fn is_root(krate: &str, name: &str) -> bool {
     name.starts_with("run_queued")
         || name.starts_with("run_scheduled")
         || (matches!(krate, "sched" | "faults") && name.starts_with("dispatch"))
-        || (krate == "serve" && name.starts_with("serve_run"))
         || (krate == "serve" && name.starts_with("supervisor_run"))
-        // The parallel gears: the window runner (des) and the
-        // partitioned scheduler entry (sched). `run_scheduled_parallel`
-        // and `run_scheduled_faulty_parallel` are already covered by the
-        // `run_scheduled` prefix above.
-        || (krate == "des" && name.starts_with("run_windowed"))
+        // The partitioned scheduler entry (sched).
+        // `run_scheduled_parallel` and `run_scheduled_faulty_parallel`
+        // are already covered by the `run_scheduled` prefix above.
         || (krate == "sched" && name.starts_with("run_partitioned"))
         // The seek-policy dispatcher: every planner (greedy sweep,
         // exact LTSP DP, ratio-2 approx) hangs off this entry, so the
@@ -1682,17 +1680,18 @@ mod tests {
 
     #[test]
     fn l10_treats_parallel_entry_points_as_roots() {
-        // The window runner (des) and the partitioned scheduler entry
-        // (sched) are engine roots: panics reachable from them must be
-        // flagged even though nothing in the scanned set calls them.
+        // The supervised service (serve) and the partitioned scheduler
+        // entry (sched) are engine roots: panics reachable from them
+        // must be flagged even though nothing in the scanned set calls
+        // them.
         let fx = Fixture::new();
         fx.write(
-            "crates/des/src/windowed.rs",
-            "pub fn run_windowed(n: usize) -> usize {\n\
+            "crates/serve/src/supervisor.rs",
+            "pub fn supervisor_run(n: usize) -> usize {\n\
              \x20   step(n)\n\
              }\n\
              fn step(n: usize) -> usize {\n\
-             \x20   if n > 3 { panic!(\"past the barrier\") }\n\
+             \x20   if n > 3 { panic!(\"shard wedged\") }\n\
              \x20   n\n\
              }\n",
         );
@@ -1704,8 +1703,8 @@ mod tests {
         );
         let findings = fx.scan(&Allowlist::default());
         assert_eq!(rules_of(&findings), vec!["L10", "L10"]);
-        assert!(findings[0].note.contains("run_windowed -> step"));
-        assert!(findings[1].note.contains("run_partitioned"));
+        assert!(findings[1].note.contains("supervisor_run -> step"));
+        assert!(findings[0].note.contains("run_partitioned"));
     }
 
     #[test]
